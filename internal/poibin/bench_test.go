@@ -75,3 +75,25 @@ func BenchmarkCondSamplerDrawN500K150(b *testing.B) {
 		cs.Sample(rng, dst)
 	}
 }
+
+// BenchmarkTailConvPaperShape is one tail at the shape that dominates
+// mining T20I10D30KP40 at paper scale: 24,000 tuples, a quarter of them
+// certain, threshold 18,000 — so 18,000 uncertain tuples must reach
+// 12,000, on the convolution tree.
+func BenchmarkTailConvPaperShape(b *testing.B) {
+	probs := benchProbs(24000)
+	for i := 0; i < len(probs); i += 4 {
+		probs[i] = 1
+	}
+	var s Scratch
+	for i := 0; i < 3; i++ {
+		s.Tail(probs, 18000) // warm the freelists
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = s.Tail(probs, 18000)
+	}
+}
+
+var benchSink float64

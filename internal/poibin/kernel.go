@@ -14,12 +14,13 @@ package poibin
 //     (p = 1) shift the threshold down, impossible tuples (p = 0) drop out,
 //     and the remaining vector splits into convLeafN-sized blocks whose
 //     truncated PMFs merge pairwise by absorbing-truncated convolution — the
-//     generating-function composition ProFP-Growth exploits. The merge is a
-//     pure multiply-add stream (vectorizable, parallelizable across
-//     subtrees), unlike the strictly sequential DP. Subtrees of at least
-//     convParallelN tuples evaluate concurrently; the tree shape depends
-//     only on the input length, so results are deterministic regardless of
-//     how many goroutines actually run.
+//     generating-function composition ProFP-Growth exploits. Each merge
+//     computes only its live cells, the ones its caller can still read (see
+//     convTree), and every node of at least ConvCrossoverN tuples evaluates
+//     its left half on its own goroutine. The tree shape depends only on
+//     the input length, and neither the window nor the fork changes which
+//     rounded products reach a live cell or their order, so the result is
+//     bit-identical to the full serial tree.
 //
 // The two kernels accumulate the same products in different orders, so
 // their outputs may differ in the last ulps once the tree has more than one
@@ -61,19 +62,16 @@ func (k Kernel) String() string {
 
 const (
 	// ConvCrossoverN is the KernelAuto crossover: probability vectors with
-	// at least this many tuples use the convolution tree. Every dataset of
-	// the paper's evaluation (Mushroom ≈ 8k·scale, Quest ≈ 30k·scale at the
-	// benchmarked scales) stays below it; the 10⁶-transaction Quest workload
-	// is what it exists for.
+	// at least this many tuples use the convolution tree. Paper-scale data
+	// crosses it: the long tails of Mushroom (8,124 rows) at rel min_sup .3
+	// and of T20I10D30KP40 (30,000 rows) at .6 run the tree. It is also the
+	// tree size at or above which a node forks its left half onto a
+	// goroutine.
 	ConvCrossoverN = 4096
 
 	// convLeafN is the block size at which the convolution tree bottoms out
 	// into a sequential DP leaf.
 	convLeafN = 512
-
-	// convParallelN is the subtree size at or above which the left half is
-	// evaluated on its own goroutine.
-	convParallelN = 1 << 16
 )
 
 // Scratch holds reusable buffers for tail evaluation, eliminating the
@@ -81,8 +79,23 @@ const (
 // ready to use. A Scratch is not safe for concurrent use; each miner worker
 // owns one.
 type Scratch struct {
-	dist []float64
-	bufs [][]float64 // convolution-tree vector freelist
+	dist  []float64
+	bufs  [][]float64 // convolution-tree vector freelist
+	forks []*fork     // forks[d]: the goroutine a tree node at depth d forks
+}
+
+// fork is the state of the goroutine a convolution-tree node runs its left
+// half on. It lives as long as the parent Scratch, so the forked half's
+// vectors come from and return to a freelist of their own across calls.
+type fork struct {
+	s   Scratch
+	wg  sync.WaitGroup
+	out []float64
+}
+
+func (f *fork) run(probs []float64, k, need, depth int) {
+	defer f.wg.Done()
+	f.out = f.s.convTree(probs, k, need, depth)
 }
 
 // Tail is Tail with scratch reuse: Pr[S ≥ k] via the canonical
@@ -243,7 +256,7 @@ func (s *Scratch) tailConv(probs []float64, k int) float64 {
 	case k > len(rest):
 		out = 0
 	default:
-		v := s.convTree(rest, k, true)
+		v := s.convTree(rest, k, k, 0)
 		out = v[k] // len(v) == min(len(rest), k)+1 == k+1 here
 		s.putBuf(v)
 	}
@@ -261,90 +274,109 @@ func (s *Scratch) tailConv(probs []float64, k int) float64 {
 // absorbs ≥ k when reachable); the returned vector has length
 // min(len(probs), k)+1 and comes from the scratch freelist — callers
 // release it with putBuf. Probabilities must lie strictly in (0, 1).
-// The recursion shape depends only on len(probs) and k, so the result is
-// deterministic whether or not subtrees run concurrently.
-func (s *Scratch) convTree(probs []float64, k int, root bool) []float64 {
+//
+// Only the live cells, indices at or above need, are computed; the rest of
+// the vector is unspecified. The root's need is k, since the tail reads only
+// v[k]. A child's need is its parent's need minus its sibling's top index,
+// floored at 0: a child cell c meets sibling cells of at most that index, so
+// below it every product lands in a cell the parent does not compute. This
+// is the tree form of the DP's dead-floor reduction (tailDP), and it is
+// exact: a live cell receives the same rounded products in the same order
+// as in the full tree, so its bits do not change.
+//
+// A node of at least ConvCrossoverN tuples evaluates its left half on the
+// goroutine forks[depth] of s. The tree shape depends only on len(probs),
+// and each merge sums in its fixed order once both halves are complete, so
+// the result does not depend on how many goroutines actually run.
+func (s *Scratch) convTree(probs []float64, k, need, depth int) []float64 {
 	n := len(probs)
 	if n <= convLeafN {
-		L := n
-		if L > k {
-			L = k
-		}
+		L := min(n, k)
 		v := s.getBuf(L + 1)[:L+1]
 		leafPMF(v, probs, k)
 		return v
 	}
 	mid := n / 2
-	if root && n >= convParallelN {
-		// Kept out of line: the goroutine closure would force the halves'
-		// slice headers to the heap on the (far more common) sequential
-		// path too.
-		return s.convTreePar(probs, mid, k)
+	leftNeed := max(need-min(n-mid, k), 0)
+	rightNeed := max(need-min(mid, k), 0)
+	if n >= ConvCrossoverN {
+		return s.convTreeFork(probs, mid, k, need, leftNeed, rightNeed, depth)
 	}
-	left := s.convTree(probs[:mid], k, root)
-	right := s.convTree(probs[mid:], k, root)
-	return s.mergeTrees(left, right, k)
-}
-
-// convTreePar evaluates the left half on its own goroutine.
-func (s *Scratch) convTreePar(probs []float64, mid, k int) []float64 {
-	var left []float64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var ls Scratch // goroutine-local scratch; its buffers are discarded
-		left = ls.convTree(probs[:mid], k, true)
-	}()
-	right := s.convTree(probs[mid:], k, true)
-	wg.Wait()
-	return s.mergeTrees(left, right, k)
-}
-
-// mergeTrees convolves two subtree PMFs into a fresh scratch vector and
-// releases the inputs.
-func (s *Scratch) mergeTrees(left, right []float64, k int) []float64 {
-	lo := len(left) + len(right) - 2
-	if lo > k {
-		lo = k
-	}
-	out := s.getBuf(lo + 1)[:lo+1]
-	convMerge(out, left, right, k)
+	left := s.convTree(probs[:mid], k, leftNeed, depth+1)
+	right := s.convTree(probs[mid:], k, rightNeed, depth+1)
+	out := s.ConvolvePMF(left, right, k, need)
 	s.putBuf(left)
 	s.putBuf(right)
 	return out
 }
 
-// convMerge convolves the truncated PMFs a and b into out (length
-// min(La+Lb, k)+1, overwritten), lumping mass at or above index k into
-// out[k] when out reaches that far. The i-ascending, j-ascending summation
-// order is part of the kernel's definition — it makes the result
-// deterministic across runs. Skipping zero terms is exact: adding a·0
-// to a non-negative partial sum reproduces it bit-for-bit.
-func convMerge(out, a, b []float64, k int) {
-	for i := range out {
-		out[i] = 0
+// convTreeFork is convTree's split with the left half on its own
+// goroutine. The fork slot's Scratch owns the left vector and takes it back
+// after the merge. A goroutine uses its own Scratch and the slots of the
+// depths it forks at, one node per depth at a time, so no two goroutines
+// share a Scratch.
+func (s *Scratch) convTreeFork(probs []float64, mid, k, need, leftNeed, rightNeed, depth int) []float64 {
+	for len(s.forks) <= depth {
+		s.forks = append(s.forks, nil)
 	}
+	f := s.forks[depth]
+	if f == nil {
+		f = new(fork)
+		s.forks[depth] = f
+	}
+	f.wg.Add(1)
+	go f.run(probs[:mid], k, leftNeed, depth+1)
+	right := s.convTree(probs[mid:], k, rightNeed, depth+1)
+	f.wg.Wait()
+	out := s.ConvolvePMF(f.out, right, k, need)
+	f.s.putBuf(f.out)
+	f.out = nil
+	s.putBuf(right)
+	return out
+}
+
+// convMerge convolves the truncated PMFs a and b into out (contents
+// overwritten), lumping the products at or above the top index into the
+// top cell; out has length min(La+Lb, k)+1, so its top cell absorbs
+// exactly when it reaches k. Only the cells c ≥ need are computed: row i
+// of a starts at j = need − i, and rows below need − Lb are skipped. A
+// skipped product lands only in a cell below need, so every computed cell
+// sums the same products as the full merge, in the same i-ascending,
+// j-ascending order — that order is part of the kernel's definition and
+// makes the result deterministic. Cells below need are left zero, and the
+// inputs' cells below the floors convTree derives for them are never read.
+// Skipping zero terms is exact: adding a·0 to a non-negative partial sum
+// reproduces it bit-for-bit.
+func convMerge(out, a, b []float64, need int) {
+	clear(out)
 	top := len(out) - 1
-	for i, ai := range a {
+	nb := len(b)
+	for i := max(need-(nb-1), 0); i < len(a); i++ {
+		ai := a[i]
 		if ai == 0 {
 			continue
 		}
-		base := i
-		if base+len(b)-1 <= top {
-			// Fast path: no truncation in this row.
-			row := out[base : base+len(b)]
-			for j, bj := range b {
+		j0 := max(need-i, 0)
+		// Cells i+j below top take their products directly; the run
+		// j ≥ top−i all adds into out[top].
+		jt := top - i
+		if jd := min(jt, nb); j0 < jd {
+			bs := b[j0:jd]
+			row := out[i+j0 : i+jd]
+			row = row[:len(bs)]
+			for j, bj := range bs {
 				row[j] += ai * bj
 			}
-			continue
 		}
-		for j, bj := range b {
-			idx := base + j
-			if idx > top {
-				idx = top
+		if js := max(j0, jt); js < nb {
+			// The absorbing run is one serial chain of adds; summing it in
+			// a register instead of through out[top] keeps the order (and
+			// so the bits) and drops a store-to-load round trip per add.
+			acc := out[top]
+			for _, bj := range b[js:] {
+				acc += ai * bj
 			}
-			out[idx] += ai * bj
+			out[top] = acc
 		}
 	}
 	// Absorbed bins accumulate rounded products and may drift an ulp above

@@ -44,13 +44,16 @@ func (s *Scratch) PMFTrunc(probs []float64, k int) []float64 {
 // j-ascending merge the convolution-tree kernel uses, so folding per-shard
 // PMFTrunc vectors left-to-right is deterministic. The inputs are read-only
 // and remain owned by the caller.
-func (s *Scratch) ConvolvePMF(a, b []float64, k int) []float64 {
-	lo := len(a) + len(b) - 2
-	if lo > k {
-		lo = k
-	}
-	out := s.getBuf(lo + 1)[:lo+1]
-	convMerge(out, a, b, k)
+//
+// Only the cells at or above need are computed (need = 0 computes all);
+// the cells below it are zero, and each computed cell is bit-identical to
+// the full merge's. A fold that will still convolve in vectors whose top
+// indices sum to T reads only the cells at or above k − T of its
+// accumulator, so passing that floor skips work without changing the tail.
+func (s *Scratch) ConvolvePMF(a, b []float64, k, need int) []float64 {
+	top := min(len(a)+len(b)-2, k)
+	out := s.getBuf(top + 1)[:top+1]
+	convMerge(out, a, b, need)
 	return out
 }
 

@@ -14,10 +14,10 @@ import (
 // byte-identical across runs, parallelism settings, and memo budgets — so a
 // cached entry is indistinguishable from re-mining.
 // With a durable store attached the cache becomes its read/write-through
-// front: a finished result is snapshotted to disk as it enters the LRU, and
-// a miss consults the store before reporting failure, promoting disk hits —
-// so a restarted daemon (or an entry the LRU evicted) still answers as a
-// cache hit instead of re-mining.
+// front: a finished result is snapshotted to disk (save) before it enters
+// the LRU (putMem), and a miss consults the store before reporting failure,
+// promoting disk hits — so a restarted daemon (or an entry the LRU evicted)
+// still answers as a cache hit instead of re-mining.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -65,17 +65,18 @@ func (c *resultCache) get(key string) (core.ResultJSON, bool) {
 	return res, true
 }
 
-// put stores a result, evicting the least recently used entry beyond the
-// capacity, and snapshots it to the durable store when one is attached. A
-// zero or negative capacity disables the in-memory tier but not the store:
-// durability does not depend on the LRU budget.
-func (c *resultCache) put(key string, res core.ResultJSON) {
-	c.putMem(key, res)
+// save snapshots a finished result to the durable store when one is
+// attached. It fsyncs, so callers keep it off every lock other requests
+// wait on. Durability does not depend on the LRU budget.
+func (c *resultCache) save(key string, res core.ResultJSON) {
 	if c.persist != nil {
 		c.persist.saveResult(key, res)
 	}
 }
 
+// putMem stores a result in the LRU, evicting the least recently used entry
+// beyond the capacity. A zero or negative capacity disables the in-memory
+// tier (but not the store, see save).
 func (c *resultCache) putMem(key string, res core.ResultJSON) {
 	if c.max <= 0 {
 		return

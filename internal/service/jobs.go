@@ -472,6 +472,19 @@ func (m *Manager) run(j *job) {
 	m.metrics.JobsRunning.Add(-1)
 	now := time.Now()
 
+	// Snapshot fresh results to the durable store before taking the lock:
+	// a snapshot costs two fsyncs, and m.mu also guards every other job's
+	// status. The job reads done only once its result is durable.
+	var rj core.ResultJSON
+	var fresh []core.ResultJSON
+	switch {
+	case err == nil && j.kind == JobKindSweep:
+		fresh = m.saveSweep(j, sres)
+	case err == nil:
+		rj = res.JSON()
+		m.cache.save(j.cacheKey, rj)
+	}
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.finished = now
@@ -491,7 +504,7 @@ func (m *Manager) run(j *job) {
 	}
 	switch {
 	case err == nil && j.kind == JobKindSweep:
-		j.sweepRes = m.assembleSweep(j, sres)
+		j.sweepRes = m.assembleSweep(j, sres, fresh)
 		j.status = StatusDone
 		m.metrics.JobsDone.Add(1)
 		m.metrics.SweepsDone.Add(1)
@@ -504,11 +517,10 @@ func (m *Manager) run(j *job) {
 		m.log.Info("sweep done", "job", j.id, "wall_ms", j.wallMillis,
 			"points", len(j.slots), "enumerations", sres.Stats.FullEnumerations)
 	case err == nil:
-		rj := res.JSON()
 		j.result = &rj
 		j.diff = diff
 		j.status = StatusDone
-		m.cache.put(j.cacheKey, rj)
+		m.cache.putMem(j.cacheKey, rj)
 		m.metrics.JobsDone.Add(1)
 		if j.watched {
 			m.metrics.WatchedMines.Add(1)

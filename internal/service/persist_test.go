@@ -5,11 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/probdata/pfcim/internal/store"
 	"github.com/probdata/pfcim/internal/uncertain"
 )
 
@@ -225,5 +230,129 @@ func TestStoreOpenFailure(t *testing.T) {
 	_, err := New(Config{StoreDir: filepath.Join(file, "store"), Logger: quietLogger()})
 	if err == nil {
 		t.Fatal("New accepted a store dir under a regular file")
+	}
+}
+
+// parkFS parks the fsync of every result segment while armed, until
+// released: a store disk that has stalled mid-snapshot.
+type parkFS struct {
+	store.FS
+	armed   atomic.Bool
+	parked  chan struct{} // one value per parked Sync
+	release chan struct{} // closed to let every parked Sync finish
+}
+
+type parkFile struct {
+	store.File
+	fs *parkFS
+}
+
+func (p *parkFS) Create(path string) (store.File, error) {
+	f, err := p.FS.Create(path)
+	if err != nil || !strings.Contains(path, "results") {
+		return f, err
+	}
+	return parkFile{File: f, fs: p}, nil
+}
+
+func (f parkFile) Sync() error {
+	if f.fs.armed.Load() {
+		f.fs.parked <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestResultSnapshotOffJobLock: a finished result's snapshot fsyncs the
+// store, and a slow disk must stall only that job — not status reads of
+// other jobs or the job list. A job reads done only once its snapshot is
+// durable. Both snapshot paths are covered: a single job and a sweep's
+// freshly computed points.
+func TestResultSnapshotOffJobLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 2, StoreDir: dir, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfs := &parkFS{FS: store.OS(), parked: make(chan struct{}, 16), release: make(chan struct{})}
+	st, err := store.OpenFS(pfs, dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.persist.st = st // the registry and the cache share this persister
+	ts := httptest.NewServer(s.Handler())
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(pfs.release) }) }
+	t.Cleanup(func() {
+		release()
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+
+	ds := uploadDB(t, ts.URL, uncertain.PaperExample())
+	other := submitAndWait(t, ts.URL, ds.ID, 2)
+	if other.Status != StatusDone {
+		t.Fatalf("unparked job: %+v", other)
+	}
+
+	// Every request below must answer promptly while snapshots are parked.
+	client := &http.Client{Timeout: 2 * time.Second}
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s while a snapshot is parked: %v", path, err)
+		}
+		return resp
+	}
+	submit := func(path string, body map[string]any) JobInfo {
+		t.Helper()
+		blob, _ := json.Marshal(body)
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("POST %s while a snapshot is parked: %v", path, err)
+		}
+		info := decode[JobInfo](t, resp)
+		select {
+		case <-pfs.parked:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: no result snapshot reached the store", path)
+		}
+		return info
+	}
+	pfs.armed.Store(true)
+	parked := []JobInfo{
+		submit("/v1/jobs", map[string]any{
+			"dataset": ds.ID, "options": map[string]any{"min_sup": 1, "pfct": 0.5},
+		}),
+		submit("/v1/sweeps", map[string]any{
+			"dataset": ds.ID, "options": map[string]any{"min_sup": 3, "pfct": 0.5},
+			"points": []map[string]any{{"pfct": 0.6}, {"pfct": 0.7}},
+		}),
+	}
+	if got := decode[JobInfo](t, get("/v1/jobs/"+other.ID)); got.Status != StatusDone {
+		t.Fatalf("other job while parked: %+v", got)
+	}
+	if list := decode[[]JobInfo](t, get("/v1/jobs")); len(list) != 3 {
+		t.Fatalf("job list while parked has %d jobs, want 3", len(list))
+	}
+	for _, j := range parked {
+		if got := decode[JobInfo](t, get("/v1/jobs/"+j.ID)); got.Status != StatusRunning {
+			t.Fatalf("job %s reads %s before its result is durable", j.ID, got.Status)
+		}
+	}
+
+	pfs.armed.Store(false)
+	release()
+	for _, j := range parked {
+		if got := waitJob(t, ts.URL, j.ID); got.Status != StatusDone {
+			t.Fatalf("parked job after release: %+v", got)
+		}
+	}
+	// 1 + 1 job results and the sweep's 2 points.
+	if got := s.Metrics()["store_results_persisted"]; got != 4 {
+		t.Fatalf("store_results_persisted = %v, want 4", got)
 	}
 }

@@ -141,12 +141,12 @@ func TestResultCacheLRU(t *testing.T) {
 	mk := func(n int) core.ResultJSON {
 		return core.ResultJSON{Itemsets: make([]core.ResultItemJSON, n)}
 	}
-	c.put("a", mk(1))
-	c.put("b", mk(2))
+	c.putMem("a", mk(1))
+	c.putMem("b", mk(2))
 	if _, ok := c.get("a"); !ok { // promotes a
 		t.Fatal("a should be cached")
 	}
-	c.put("c", mk(3)) // evicts b, the least recently used
+	c.putMem("c", mk(3)) // evicts b, the least recently used
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
@@ -157,7 +157,7 @@ func TestResultCacheLRU(t *testing.T) {
 		t.Error("c should be cached")
 	}
 	disabled := newResultCache(-1)
-	disabled.put("x", mk(1))
+	disabled.putMem("x", mk(1))
 	if _, ok := disabled.get("x"); ok {
 		t.Error("disabled cache should never store")
 	}

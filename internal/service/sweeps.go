@@ -104,7 +104,7 @@ func (m *Manager) SubmitSweep(ds *Dataset, oj core.OptionsJSON, pts []sweep.Poin
 	if missing == 0 {
 		j.status = StatusDone
 		j.cached = true
-		j.sweepRes = m.assembleSweep(j, nil)
+		j.sweepRes = m.assembleSweep(j, nil, nil)
 		j.finished = time.Now()
 		m.metrics.JobsDone.Add(1)
 		m.metrics.SweepsDone.Add(1)
@@ -139,10 +139,27 @@ func missingPoints(j *job) []sweep.Point {
 	return out
 }
 
+// saveSweep snapshots the engine's freshly computed points to the durable
+// store under their single-job keys and returns their wire forms in engine
+// order (the order of the slots the cache missed).
+func (m *Manager) saveSweep(j *job, res *sweep.Result) []core.ResultJSON {
+	fresh := make([]core.ResultJSON, len(res.Points))
+	k := 0
+	for _, s := range j.slots {
+		if s.cached == nil {
+			fresh[k] = res.Points[k].CoreJSON()
+			m.cache.save(s.key, fresh[k])
+			k++
+		}
+	}
+	return fresh
+}
+
 // assembleSweep merges cached per-point results with the engine's (res is
-// nil when every point was cached), caches every freshly computed point
-// under its single-job key, and returns the wire form in request order.
-func (m *Manager) assembleSweep(j *job, res *sweep.Result) *sweep.ResultJSON {
+// nil when every point was cached; fresh holds saveSweep's wire forms),
+// caches every freshly computed point under its single-job key, and returns
+// the wire form in request order.
+func (m *Manager) assembleSweep(j *job, res *sweep.Result, fresh []core.ResultJSON) *sweep.ResultJSON {
 	out := &sweep.ResultJSON{Points: make([]sweep.PointResultJSON, len(j.slots))}
 	var engine []sweep.PointResultJSON
 	if res != nil {
@@ -162,7 +179,7 @@ func (m *Manager) assembleSweep(j *job, res *sweep.Result) *sweep.ResultJSON {
 			}
 			continue
 		}
-		m.cache.put(s.key, res.Points[k].CoreJSON())
+		m.cache.putMem(s.key, fresh[k])
 		out.Points[i] = engine[k]
 		k++
 	}

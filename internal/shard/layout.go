@@ -71,14 +71,24 @@ func Slice(db *uncertain.DB, l Layout, i int) []uncertain.Transaction {
 // (memoized worker vectors pass through unharmed); intermediates come from
 // and return to the scratch freelist. An empty parts list or a merged
 // vector shorter than k+1 means fewer than k tuples exist: the tail is 0.
+//
+// Each fold step computes only its live cells: those at or above k minus
+// the top indices of the parts still to come, the only cells that can
+// still reach k. Every such cell is bit-identical to the full fold's.
 func TailParts(s *poibin.Scratch, parts [][]float64, k int) float64 {
 	if len(parts) == 0 {
 		return 0
 	}
+	// rest is the sum of the top indices of the parts not yet folded in.
+	rest := 0
+	for _, p := range parts[1:] {
+		rest += len(p) - 1
+	}
 	acc := parts[0]
 	owned := false
 	for _, p := range parts[1:] {
-		next := s.ConvolvePMF(acc, p, k)
+		rest -= len(p) - 1
+		next := s.ConvolvePMF(acc, p, k, max(k-rest, 0))
 		if owned {
 			s.ReleasePMF(acc)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -157,6 +158,37 @@ func TestTailPartsMatchesWhole(t *testing.T) {
 		}
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("n=%d: folded tail %v, whole %v", n, got, want)
+		}
+	}
+}
+
+// TestTailPartsLiveFloorBitwise: computing only each fold step's live
+// cells changes no bit against the full left-to-right fold, across shard
+// counts, thresholds below and above the tuple count, and empty shards.
+func TestTailPartsLiveFloorBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var s poibin.Scratch
+	for trial := 0; trial < 300; trial++ {
+		probs := make([]float64, 1+rng.Intn(400))
+		for i := range probs {
+			probs[i] = rng.Float64()
+		}
+		k := 1 + rng.Intn(len(probs)+2)
+		l := Layout{N: 1 + rng.Intn(8), Total: len(probs)}
+		parts := make([][]float64, l.N)
+		for i := range parts {
+			lo, hi := l.Bounds(i)
+			parts[i] = s.PMFTrunc(probs[lo:hi], k)
+		}
+		got := TailParts(&s, parts, k)
+		acc := parts[0]
+		for _, p := range parts[1:] {
+			acc = s.ConvolvePMF(acc, p, k, 0)
+		}
+		want := poibin.TailOfPMF(acc, k)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: n=%d k=%d shards=%d: live-floor fold %v, full fold %v",
+				trial, len(probs), k, l.N, got, want)
 		}
 	}
 }
